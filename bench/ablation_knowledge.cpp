@@ -21,7 +21,7 @@ int main() {
     auto config = bench::figure_config();
     config.policy = "epidemic";
     config.learn_knowledge = learn;
-    const auto result = sim::run_experiment(config);
+    const auto result = bench::run_experiment(config);
     std::printf("%-18s %-14.0f %-14.0f %-12zu %-12zu\n",
                 learn ? "scoped-learning" : "exact-only",
                 result.metrics.knowledge_bytes().mean(),

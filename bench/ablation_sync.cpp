@@ -19,7 +19,7 @@ int main() {
     auto config = bench::figure_config();
     config.policy = "epidemic";
     config.single_sync_per_encounter = single;
-    const auto result = sim::run_experiment(config);
+    const auto result = bench::run_experiment(config);
     bench::print_run_summary(single ? "one-sync" : "two-syncs", result);
   }
 
@@ -28,7 +28,7 @@ int main() {
     auto config = bench::figure_config();
     config.policy = "epidemic";
     config.delete_after_delivery = del;
-    const auto result = sim::run_experiment(config);
+    const auto result = bench::run_experiment(config);
     bench::print_run_summary(del ? "tombstone" : "never-delete", result);
   }
 
@@ -37,7 +37,7 @@ int main() {
     auto config = bench::figure_config();
     config.policy = "maxprop";
     if (acks) config.policy_params["ack_flooding"] = 1.0;
-    const auto result = sim::run_experiment(config);
+    const auto result = bench::run_experiment(config);
     bench::print_run_summary(acks ? "acks-on" : "acks-off", result);
   }
 

@@ -4,8 +4,12 @@
 /// Shared scaffolding for the figure-reproduction benches: consistent
 /// headers, the paper-scale configuration, and an optional
 /// PFRDTN_BENCH_SCALE environment variable (0 < scale <= 1) to run
-/// reduced-scale versions of every figure for quick iteration.
+/// reduced-scale versions of every figure for quick iteration. When a
+/// bench exits it prints the number of one-way syncs its emulations
+/// made to stderr ("syncs=N"; tools/bench_emulation.sh reads it), so
+/// stdout holds nothing but the figure.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -13,6 +17,28 @@
 #include "sim/experiment.hpp"
 
 namespace pfrdtn::bench {
+
+/// One-way syncs made by this process's experiments so far.
+inline std::uint64_t syncs_run = 0;
+
+/// Prints syncs_run to stderr at exit.
+struct SyncReport {
+  ~SyncReport() {
+    std::fprintf(stderr, "syncs=%llu\n",
+                 static_cast<unsigned long long>(syncs_run));
+  }
+};
+inline SyncReport sync_report;
+
+/// sim::run_experiment, counting the syncs it makes: two per encounter,
+/// or one in single-sync mode.
+inline sim::EmulationResult run_experiment(
+    const sim::EmulationConfig& config) {
+  sim::EmulationResult result = sim::run_experiment(config);
+  syncs_run += result.metrics.encounter_count() *
+               (config.single_sync_per_encounter ? 1 : 2);
+  return result;
+}
 
 /// The figure benches' base configuration: paper scale unless
 /// PFRDTN_BENCH_SCALE shrinks it.

@@ -19,7 +19,7 @@ void run_one(const std::string& label, const std::string& policy,
   auto config = bench::figure_config();
   config.policy = policy;
   config.policy_params = params;
-  const auto result = sim::run_experiment(config);
+  const auto result = bench::run_experiment(config);
   bench::print_run_summary(label, result);
 }
 

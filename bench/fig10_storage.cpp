@@ -19,7 +19,7 @@ int main() {
     auto config = bench::figure_config();
     config.policy = policy;
     config.relay_capacity = 2;
-    const auto result = sim::run_experiment(config);
+    const auto result = bench::run_experiment(config);
     sim::print_delay_cdf(policy, result.metrics, 12.0, 13);
   }
   std::printf(

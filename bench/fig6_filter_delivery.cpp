@@ -16,7 +16,7 @@ void run_row(const std::string& label, pfrdtn::dtn::FilterStrategy strategy,
   config.policy = "cimbiosys";
   config.strategy = strategy;
   config.filter_k = k;
-  const auto result = sim::run_experiment(config);
+  const auto result = bench::run_experiment(config);
   std::printf("%-10s %-10s %6.1f%%\n", label.c_str(),
               strategy == dtn::FilterStrategy::SelfOnly
                   ? "-"

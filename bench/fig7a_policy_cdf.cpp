@@ -16,7 +16,7 @@ int main() {
   for (const auto& policy : dtn::known_policies()) {
     auto config = bench::figure_config();
     config.policy = policy;
-    const auto result = sim::run_experiment(config);
+    const auto result = bench::run_experiment(config);
     sim::print_delay_cdf(policy, result.metrics, 12.0, 13);
   }
   std::printf(

@@ -18,7 +18,7 @@ int main() {
   for (const auto& policy : dtn::known_policies()) {
     auto config = bench::figure_config();
     config.policy = policy;
-    const auto result = sim::run_experiment(config);
+    const auto result = bench::run_experiment(config);
     for (int day = 1; day <= 10; ++day) {
       std::printf("%-12s %8d %8.2f\n", policy.c_str(), day,
                   result.metrics.delivered_within_hours(day * 24.0));

@@ -18,7 +18,7 @@ int main() {
   for (const auto& policy : dtn::known_policies()) {
     auto config = bench::figure_config();
     config.policy = policy;
-    const auto result = sim::run_experiment(config);
+    const auto result = bench::run_experiment(config);
     std::printf("%-12s %-16.2f %-16.2f\n", policy.c_str(),
                 result.metrics.mean_copies_at_delivery(),
                 result.metrics.mean_copies_at_end());

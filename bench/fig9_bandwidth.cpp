@@ -18,7 +18,7 @@ int main() {
     auto config = bench::figure_config();
     config.policy = policy;
     config.encounter_budget = 1;
-    const auto result = sim::run_experiment(config);
+    const auto result = bench::run_experiment(config);
     sim::print_delay_cdf(policy, result.metrics, 12.0, 13);
     std::printf("%-12s items transferred: %zu over %zu encounters\n",
                 policy.c_str(), result.metrics.traffic().items_sent,

@@ -26,7 +26,7 @@ int main() {
     for (const std::uint64_t seed : seeds) {
       auto config = bench::figure_config(seed);
       config.policy = policy;
-      const auto result = sim::run_experiment(config);
+      const auto result = bench::run_experiment(config);
       delivered.add(
           static_cast<double>(result.metrics.delivered_count()));
       within_12h.add(result.metrics.delivered_within_hours(12));

@@ -33,6 +33,12 @@ class DtnPolicy : public repl::ForwardingPolicy {
   /// that propagate acknowledgements).
   virtual void note_delivered(ItemId /*id*/, SimTime /*now*/) {}
 
+  /// A DTN policy is known by its registry name, which decorators
+  /// around a registry policy report too, so the registry answers:
+  /// false exactly for the names of the null policy (the unmodified
+  /// substrate). Defined in registry.cpp.
+  [[nodiscard]] bool forwards_out_of_filter() const override;
+
   /// Bind the policy to the replica it serves (required by policies
   /// that clear buffers; others ignore it).
   void bind(repl::Replica* replica) { replica_ = replica; }

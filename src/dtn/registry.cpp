@@ -37,13 +37,22 @@ class Overrides {
   std::set<std::string> used_;
 };
 
+/// Names of the null policy: no out-of-filter forwarding at all.
+bool is_direct_policy(const std::string& name) {
+  return name == "cimbiosys" || name == "direct" || name == "none";
+}
+
 }  // namespace
+
+bool DtnPolicy::forwards_out_of_filter() const {
+  return !is_direct_policy(name());
+}
 
 PolicyPtr make_policy(const std::string& name,
                       const std::map<std::string, double>& overrides) {
   Overrides opts(overrides);
   PolicyPtr policy;
-  if (name == "cimbiosys" || name == "direct" || name == "none") {
+  if (is_direct_policy(name)) {
     policy = std::make_shared<DirectPolicy>();
   } else if (name == "epidemic") {
     EpidemicParams params;

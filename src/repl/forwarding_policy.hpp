@@ -86,6 +86,12 @@ class ForwardingPolicy {
       const SyncContext& /*ctx*/,
       const std::vector<std::uint8_t>& /*routing_state*/) {}
 
+  /// False for a policy that never forwards anything out of filter:
+  /// its to_send skips every item and touches no copy. The sync engine
+  /// then builds the batch from the store's filter index alone and
+  /// never calls to_send — the batch is the one a scan would build.
+  [[nodiscard]] virtual bool forwards_out_of_filter() const { return true; }
+
   /// Source side: should this out-of-filter stored item be forwarded
   /// to the peer, and at what priority? ("toSend"). May initialize
   /// missing transient fields on the stored copy (e.g. a default TTL).

@@ -74,9 +74,8 @@ void Knowledge::merge_scoped(const Knowledge& other, const Filter& scope) {
 }
 
 std::size_t Knowledge::size_bytes() const {
-  ByteWriter w;
-  serialize(w);
-  return w.size();
+  refresh_wire_cache();
+  return wire_size_cache_;
 }
 
 std::size_t Knowledge::weight() const {
@@ -86,14 +85,27 @@ std::size_t Knowledge::weight() const {
   return total;
 }
 
+void Knowledge::refresh_wire_cache() const {
+  if (wire_cache_revision_ == revision_) return;
+  ByteWriter w;
+  serialize(w);
+  ByteReader r(w.bytes());
+  auto decoded = std::make_shared<Knowledge>(deserialize(r));
+  PFRDTN_ENSURE(r.done());
+  wire_size_cache_ = w.size();
+  digest_cache_ = fnv1a64(w.bytes());
+  wire_form_cache_ = std::move(decoded);
+  wire_cache_revision_ = revision_;
+}
+
 std::uint64_t Knowledge::wire_digest() const {
-  if (digest_cache_revision_ != revision_) {
-    ByteWriter w;
-    serialize(w);
-    digest_cache_ = fnv1a64(w.bytes());
-    digest_cache_revision_ = revision_;
-  }
+  refresh_wire_cache();
   return digest_cache_;
+}
+
+std::shared_ptr<const Knowledge> Knowledge::wire_form() const {
+  refresh_wire_cache();
+  return wire_form_cache_;
 }
 
 std::uint64_t Knowledge::event_count() const {

@@ -136,28 +136,40 @@ class Knowledge {
     return fragments_;
   }
 
-  /// Metadata footprint in serialized bytes.
+  /// Metadata footprint in serialized bytes (cached per revision).
   [[nodiscard]] std::size_t size_bytes() const;
   /// Abstract weight (vector entries + extras across all parts) for
   /// compaction benchmarks.
   [[nodiscard]] std::size_t weight() const;
 
-  // ---- summaries (see summary.hpp, docs/net.md) ----------------------
+  // ---- derived views, cached per revision (docs/knowledge.md) --------
   //
-  // The summary-exchange fast path needs two derived views of this
-  // knowledge: a digest of its wire-serialized form (equal digests =>
-  // byte-identical wire knowledge) and a Bloom filter over every known
-  // event. Both are cached against `revision_`, which every mutation
-  // that actually changes the value bumps — so in the converged steady
-  // state a summary costs O(1) per sync instead of a rebuild.
+  // The sync paths need several views derived from this knowledge's
+  // wire form: its encoded size (byte accounting), a digest of it
+  // (equal digests => byte-identical wire knowledge, the summary
+  // exchange's converged test), the value a peer decodes from it, and
+  // a Bloom filter over every known event. All are cached against
+  // `revision_`, which every mutation that actually changes the value
+  // bumps — so a sync against unchanged knowledge pays O(1) for them
+  // instead of an encode (and decode) per use. The first three come
+  // from one serialization.
 
   /// Monotone change counter: bumps exactly when the knowledge value
   /// changes (no-op merges and duplicate adds leave it untouched, which
-  /// is what keeps the summary caches warm across converged syncs).
+  /// is what keeps the caches warm across converged syncs).
   [[nodiscard]] std::uint64_t revision() const { return revision_; }
 
   /// FNV-1a 64 digest of serialize()'s output, cached per revision.
   [[nodiscard]] std::uint64_t wire_digest() const;
+
+  /// decode(encode(*this)): the knowledge a peer holds after receiving
+  /// this one over the wire, cached per revision. The wire codec erases
+  /// pinning and refolds extras into the version vector, so the decoded
+  /// value can differ from this one; the in-process sync path learns
+  /// from and answers against this form to behave exactly like a
+  /// transport. Shared and immutable: holding the pointer keeps the
+  /// value alive across later mutations of this knowledge.
+  [[nodiscard]] std::shared_ptr<const Knowledge> wire_form() const;
 
   /// Total known events: universal plus fragment version sets
   /// (scope-erased; events present in both are counted twice, which
@@ -186,17 +198,24 @@ class Knowledge {
   void add_fragment(Fragment fragment);
   void enforce_fragment_cap();
 
-  /// Invalidate the summary caches after a real value change.
+  /// Invalidate the derived-view caches after a real value change.
   void touch() { ++revision_; }
+
+  /// Fill the wire cache (size, digest, decoded form) for `revision_`
+  /// from one serialization, unless it is already current.
+  void refresh_wire_cache() const;
 
   VersionSet universal_;
   std::vector<Fragment> fragments_;
 
   std::uint64_t revision_ = 1;
-  // Summary caches: value-derived, so copying them along with the
-  // object keeps them consistent (the Bloom cache is shared immutably).
-  mutable std::uint64_t digest_cache_revision_ = 0;
+  // Derived-view caches: value-derived, so copying them along with the
+  // object keeps them consistent (the decoded form and the Bloom cache
+  // are shared immutably).
+  mutable std::uint64_t wire_cache_revision_ = 0;
+  mutable std::size_t wire_size_cache_ = 0;
   mutable std::uint64_t digest_cache_ = 0;
+  mutable std::shared_ptr<const Knowledge> wire_form_cache_;
   mutable std::uint64_t bloom_cache_revision_ = 0;
   mutable std::optional<SummaryParams> bloom_cache_params_;
   mutable std::shared_ptr<const BloomFilter> bloom_cache_;

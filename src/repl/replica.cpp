@@ -274,6 +274,10 @@ std::string Replica::check_invariants() const {
                   " has an unforgettable event at " + id_.str();
     }
   });
+  if (violation.empty()) {
+    if (const std::string drift = store_.check_indexes(); !drift.empty())
+      violation = "store index at " + id_.str() + ": " + drift;
+  }
   return violation;
 }
 

@@ -164,7 +164,8 @@ class Replica {
 
   /// Check the store/knowledge soundness invariant for every stored
   /// item and, via `latest` (a map from item id to the globally newest
-  /// version, supplied by the test oracle), for completeness claims.
+  /// version, supplied by the test oracle), for completeness claims,
+  /// then that every store index equals a rebuild from the entries.
   /// Returns a human-readable violation description, or empty string.
   [[nodiscard]] std::string check_invariants() const;
 

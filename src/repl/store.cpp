@@ -6,25 +6,52 @@
 
 namespace pfrdtn::repl {
 
-void ItemStore::index(const Entry& entry) {
+ItemStore::ItemStore(const ItemStore& other)
+    : config_(other.config_),
+      entries_(other.entries_),
+      order_(other.order_),
+      next_seq_(other.next_seq_) {
+  for (auto& [id, entry] : entries_) index(entry);
+}
+
+ItemStore& ItemStore::operator=(const ItemStore& other) {
+  if (this != &other) *this = ItemStore(other);
+  return *this;
+}
+
+void ItemStore::index(Entry& entry) {
   if (!entry.in_filter) ++relay_count_;
   if (entry.evictable())
     evictable_order_.emplace(entry.arrival_seq, entry.item.id());
   evictable_count_ = evictable_order_.size();
   for (const HostId dest : entry.item.dest_addresses())
     dest_index_[dest].emplace(entry.item.id(), &entry);
+  const Version& v = entry.item.version();
+  version_index_[v.author].emplace(v.counter, &entry);
 }
 
 void ItemStore::unindex(const Entry& entry) {
   if (!entry.in_filter) --relay_count_;
   if (entry.evictable()) evictable_order_.erase(entry.arrival_seq);
   evictable_count_ = evictable_order_.size();
-  for (const HostId dest : entry.item.dest_addresses()) {
-    const auto bucket = dest_index_.find(dest);
+  const auto& dests = entry.item.dest_addresses();
+  for (auto dest = dests.begin(); dest != dests.end(); ++dest) {
+    // A repeated address ("3,3": peer-supplied metadata) was indexed
+    // once, so it is unindexed once.
+    if (std::find(dests.begin(), dest, *dest) != dest) continue;
+    const auto bucket = dest_index_.find(*dest);
     PFRDTN_ENSURE(bucket != dest_index_.end());
     bucket->second.erase(entry.item.id());
     if (bucket->second.empty()) dest_index_.erase(bucket);
   }
+  const Version& v = entry.item.version();
+  const auto author = version_index_.find(v.author);
+  PFRDTN_ENSURE(author != version_index_.end());
+  auto [it, end] = author->second.equal_range(v.counter);
+  while (it != end && it->second != &entry) ++it;
+  PFRDTN_ENSURE(it != end);
+  author->second.erase(it);
+  if (author->second.empty()) version_index_.erase(author);
 }
 
 std::vector<Item> ItemStore::put(Item item, bool in_filter,
@@ -133,6 +160,22 @@ void ItemStore::for_each_transient(
   }
 }
 
+void ItemStore::for_each_transient_above(
+    const VersionVector& known,
+    const std::function<void(const Entry&, TransientView)>& fn) {
+  std::vector<Entry*> above;
+  for (const auto& [author, by_counter] : version_index_) {
+    for (auto it = by_counter.upper_bound(known.max_counter(author));
+         it != by_counter.end(); ++it) {
+      above.push_back(it->second);
+    }
+  }
+  std::sort(above.begin(), above.end(), [](const Entry* a, const Entry* b) {
+    return a->arrival_seq < b->arrival_seq;
+  });
+  for (Entry* entry : above) fn(*entry, TransientView(entry->item));
+}
+
 bool ItemStore::for_filter_matches(
     const Filter& filter,
     const std::function<bool(const Entry&)>& fn) const {
@@ -188,6 +231,56 @@ void ItemStore::restore_entry(Item item, bool in_filter,
 void ItemStore::set_next_arrival_seq(std::uint64_t seq) {
   PFRDTN_REQUIRE(seq >= next_seq_);
   next_seq_ = seq;
+}
+
+std::string ItemStore::check_indexes() const {
+  // Every entry must sit in each index under its own keys, and no index
+  // may hold more elements than the entries account for: together that
+  // is "index == rebuild", checked without building one.
+  std::size_t relay = 0;
+  std::size_t evictable = 0;
+  std::size_t dest_refs = 0;
+  for (const auto& [id, entry] : entries_) {
+    if (!entry.in_filter) ++relay;
+    if (entry.evictable()) {
+      ++evictable;
+      const auto it = evictable_order_.find(entry.arrival_seq);
+      if (it == evictable_order_.end() || it->second != id)
+        return "evictable order misses " + id.str();
+    }
+    const auto& dests = entry.item.dest_addresses();
+    for (auto addr = dests.begin(); addr != dests.end(); ++addr) {
+      if (std::find(dests.begin(), addr, *addr) != addr) continue;
+      ++dest_refs;  // a repeated address is indexed once
+      const auto bucket = dest_index_.find(*addr);
+      if (bucket == dest_index_.end()) return "dest index misses " + id.str();
+      const auto slot = bucket->second.find(id);
+      if (slot == bucket->second.end() || slot->second != &entry)
+        return "dest index misses " + id.str();
+    }
+    const Version& v = entry.item.version();
+    const auto author = version_index_.find(v.author);
+    bool indexed = false;
+    if (author != version_index_.end()) {
+      auto [it, last] = author->second.equal_range(v.counter);
+      while (it != last && it->second != &entry) ++it;
+      indexed = it != last;
+    }
+    if (!indexed) return "version index misses " + id.str();
+  }
+  if (relay != relay_count_) return "relay count drifted from the entries";
+  if (evictable != evictable_order_.size() || evictable != evictable_count_)
+    return "evictable order holds entries it should not";
+  std::size_t indexed_dest = 0;
+  for (const auto& [addr, bucket] : dest_index_) indexed_dest += bucket.size();
+  if (indexed_dest != dest_refs)
+    return "dest index holds entries it should not";
+  std::size_t indexed_versions = 0;
+  for (const auto& [author, by_counter] : version_index_)
+    indexed_versions += by_counter.size();
+  if (indexed_versions != entries_.size())
+    return "version index holds entries it should not";
+  return "";
 }
 
 void ItemStore::set_in_filter_for_test(ItemId id, bool in_filter) {

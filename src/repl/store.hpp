@@ -19,7 +19,11 @@
 ///  - an inverted index over parsed `dest` addresses, so batch
 ///    building enumerates the candidates of an address filter (the DTN
 ///    common case) in O(matching) via for_filter_matches() instead of
-///    scanning every entry.
+///    scanning every entry,
+///  - a version index, author -> counter -> entry, so batch building
+///    under a forwarding policy visits only the entries whose update
+///    event lies above the peer's version-vector prefix
+///    (for_each_transient_above) instead of every entry.
 /// Entries are therefore mutated only through store operations (put /
 /// supersede / refilter / remove); callers get const views plus a
 /// TransientView for the per-copy routing state, which no index
@@ -29,6 +33,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -66,6 +71,13 @@ class ItemStore {
 
   ItemStore() = default;
   explicit ItemStore(Config config) : config_(config) {}
+  /// A copy rebuilds the indexes that hold Entry pointers: copied
+  /// pointers would still point into the source store's entries.
+  /// Moves keep them (the node-based entry map moves its nodes).
+  ItemStore(const ItemStore& other);
+  ItemStore& operator=(const ItemStore& other);
+  ItemStore(ItemStore&&) = default;
+  ItemStore& operator=(ItemStore&&) = default;
 
   /// Insert or replace an entry. If the relay store exceeds capacity
   /// afterwards, victims are evicted and returned (never the
@@ -123,6 +135,15 @@ class ItemStore {
   void for_each_transient(
       const std::function<void(const Entry&, TransientView)>& fn);
 
+  /// for_each_transient restricted to the entries whose version event
+  /// (author, counter) lies above `known`'s prefix for that author —
+  /// a superset of the entries a peer with that version vector does
+  /// not know — visited in the same arrival order. Answered from the
+  /// version index in O(authors + visited), not O(size()).
+  void for_each_transient_above(
+      const VersionVector& known,
+      const std::function<void(const Entry&, TransientView)>& fn);
+
   /// Visit exactly the entries whose item matches `filter`, returning
   /// false from `fn` to stop early. Address filters (and provably
   /// empty ones) are answered from the dest inverted index in
@@ -134,6 +155,11 @@ class ItemStore {
   bool for_filter_matches(
       const Filter& filter,
       const std::function<bool(const Entry&)>& fn) const;
+
+  /// Self-check: every derived index (counters, evictable order, dest
+  /// buckets, version index) equals a rebuild from the entries.
+  /// Returns a description of the first mismatch, or empty string.
+  [[nodiscard]] std::string check_indexes() const;
 
   /// Force an entry's in_filter flag without consulting any filter —
   /// a test/diagnostic hook for exercising invariant checking; indexes
@@ -169,10 +195,10 @@ class ItemStore {
   void set_next_arrival_seq(std::uint64_t seq);
 
  private:
-  /// Add/remove `entry` to the flag-derived indexes (counters,
-  /// evictable order, dest buckets). Every mutation is bracketed by
-  /// unindex/index so the derived state can never drift.
-  void index(const Entry& entry);
+  /// Add/remove `entry` to the derived indexes (counters, evictable
+  /// order, dest buckets, version index). Every mutation is bracketed
+  /// by unindex/index so the derived state can never drift.
+  void index(Entry& entry);
   void unindex(const Entry& entry);
 
   std::vector<Item> enforce_capacity();
@@ -190,6 +216,11 @@ class ItemStore {
   /// the indexed path dereferences candidates without a hash lookup.
   std::unordered_map<HostId, std::unordered_map<ItemId, const Entry*>>
       dest_index_;
+  /// Version index: author -> counter -> entry holding that event.
+  /// A multimap because nothing but convention stops two items from
+  /// carrying the same (author, counter) — a hostile peer can send
+  /// them — and the index must still stay exact.
+  std::map<ReplicaId, std::multimap<std::uint64_t, Entry*>> version_index_;
   std::size_t relay_count_ = 0;
   std::size_t evictable_count_ = 0;
   std::uint64_t next_seq_ = 0;

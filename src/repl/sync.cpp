@@ -78,63 +78,73 @@ struct Candidate {
   std::uint64_t arrival_seq = 0;  ///< deterministic tie-break
 };
 
-}  // namespace
+/// The source's choice of what to send, before any copy is taken.
+struct BatchPlan {
+  std::vector<Candidate> candidates;  ///< priority order, capped
+  /// Every filter-matching unknown item made the cut.
+  bool complete = true;
+};
 
-SyncRequest make_request(Replica& target, ForwardingPolicy* target_policy,
-                         ReplicaId source_id, SimTime now) {
+std::vector<std::uint8_t> routing_state_of(Replica& target,
+                                           ForwardingPolicy* target_policy,
+                                           ReplicaId source_id,
+                                           SimTime now) {
   const SyncContext target_ctx{target.id(), source_id, now};
-  return SyncRequest{
-      target.id(), target.filter(), target.knowledge(),
-      target_policy ? target_policy->generate_request(target_ctx)
-                    : std::vector<std::uint8_t>{}};
+  return target_policy ? target_policy->generate_request(target_ctx)
+                       : std::vector<std::uint8_t>{};
 }
 
-SyncBatch build_batch(Replica& source, ForwardingPolicy* source_policy,
-                      const SyncRequest& request, SimTime now,
-                      const SyncOptions& options,
-                      bool process_routing_state) {
-  const SyncContext source_ctx{source.id(), request.target, now};
-  if (source_policy && process_routing_state)
-    source_policy->process_request(source_ctx, request.routing_state);
-
-  std::vector<Candidate> candidates;
+/// Source step, after the routing state was processed: order the
+/// stored items a peer with `filter` and `knowledge` lacks by priority
+/// and apply the bandwidth cap.
+BatchPlan plan_batch(Replica& source, ForwardingPolicy* source_policy,
+                     const SyncContext& source_ctx, const Filter& filter,
+                     const Knowledge& knowledge,
+                     const SyncOptions& options) {
+  BatchPlan plan;
+  auto& candidates = plan.candidates;
   ItemStore& store = source.store_mutable();
-  if (source_policy == nullptr) {
-    // Without a forwarding policy only filter-matching items can enter
-    // the batch, so enumerate exactly those through the store's filter
-    // index (O(matching) for address filters) instead of scanning every
-    // entry. Visit order does not matter: the sort below is a total
-    // order (arrival_seq is unique), so indexed and scan enumeration
-    // yield byte-identical batches.
-    store.for_filter_matches(
-        request.filter, [&](const ItemStore::Entry& entry) {
-          if (!request.knowledge.knows(entry.item,
-                                       entry.item.version())) {
-            candidates.push_back(
-                {entry.item.id(), Priority::at(PriorityClass::Highest),
-                 /*matches_filter=*/true, entry.arrival_seq});
-          }
-          return true;
-        });
-  } else {
-    store.for_each_transient([&](const ItemStore::Entry& entry,
-                                 TransientView stored) {
-      if (request.knowledge.knows(entry.item, entry.item.version()))
-        return;
-      if (request.filter.matches(entry.item)) {
-        candidates.push_back(
-            {entry.item.id(), Priority::at(PriorityClass::Highest),
-             /*matches_filter=*/true, entry.arrival_seq});
-        return;
+  if (source_policy == nullptr || !source_policy->forwards_out_of_filter()) {
+    // Without a policy that forwards out of filter only filter-matching
+    // items can enter the batch, so enumerate exactly those through the
+    // store's filter index (O(matching) for address filters) instead of
+    // scanning every entry. Visit order does not matter: the sort below
+    // is a total order (arrival_seq is unique), so indexed and scan
+    // enumeration yield byte-identical batches.
+    store.for_filter_matches(filter, [&](const ItemStore::Entry& entry) {
+      if (!knowledge.knows(entry.item, entry.item.version())) {
+        candidates.push_back({entry.item.id(),
+                              Priority::at(PriorityClass::Highest),
+                              /*matches_filter=*/true, entry.arrival_seq});
       }
-      const Priority priority = source_policy->to_send(source_ctx, stored);
-      if (priority.send()) {
-        PFRDTN_REQUIRE(priority.cls != PriorityClass::Highest);
-        candidates.push_back({entry.item.id(), priority,
-                              /*matches_filter=*/false,
-                              entry.arrival_seq});
-      }
+      return true;
     });
+  } else {
+    // Only an entry whose event lies above the peer's version-vector
+    // prefix can be unknown to it. The version index visits exactly
+    // those, in arrival order, so the policy sees the same to_send
+    // calls, on the same copies, in the same order as a whole-store
+    // scan would make.
+    store.for_each_transient_above(
+        knowledge.universal().vector_part(),
+        [&](const ItemStore::Entry& entry, TransientView stored) {
+          if (knowledge.knows(entry.item, entry.item.version())) return;
+          if (filter.matches(entry.item)) {
+            candidates.push_back({entry.item.id(),
+                                  Priority::at(PriorityClass::Highest),
+                                  /*matches_filter=*/true,
+                                  entry.arrival_seq});
+            return;
+          }
+          const Priority priority =
+              source_policy->to_send(source_ctx, stored);
+          if (priority.send()) {
+            PFRDTN_REQUIRE(priority.cls != PriorityClass::Highest);
+            candidates.push_back({entry.item.id(), priority,
+                                  /*matches_filter=*/false,
+                                  entry.arrival_seq});
+          }
+        });
   }
 
   std::sort(candidates.begin(), candidates.end(),
@@ -146,20 +156,24 @@ SyncBatch build_batch(Replica& source, ForwardingPolicy* source_policy,
               return a.arrival_seq < b.arrival_seq;
             });
 
-  bool complete = true;
   if (options.max_items && candidates.size() > *options.max_items) {
     for (std::size_t i = *options.max_items; i < candidates.size(); ++i) {
-      if (candidates[i].matches_filter) complete = false;
+      if (candidates[i].matches_filter) plan.complete = false;
     }
     candidates.resize(*options.max_items);
   }
+  return plan;
+}
 
-  SyncBatch batch;
-  batch.source = source.id();
-  batch.complete = complete;
-  batch.source_knowledge = source.knowledge();
-  batch.items.reserve(candidates.size());
-  for (const Candidate& candidate : candidates) {
+/// Take the outgoing copies of a plan's items, charging per-copy
+/// forwarding state (on_forward) for the policy-chosen ones.
+std::vector<Item> take_items(Replica& source, ForwardingPolicy* source_policy,
+                             const SyncContext& source_ctx,
+                             const BatchPlan& plan) {
+  ItemStore& store = source.store_mutable();
+  std::vector<Item> items;
+  items.reserve(plan.candidates.size());
+  for (const Candidate& candidate : plan.candidates) {
     const auto* entry = store.find(candidate.id);
     PFRDTN_ENSURE(entry != nullptr);
     // A payload refcount bump plus the per-copy transient fields — no
@@ -175,8 +189,36 @@ SyncBatch build_batch(Replica& source, ForwardingPolicy* source_policy,
       // funnel, so the durability sink is told explicitly.
       source.note_policy_state(candidate.id);
     }
-    batch.items.push_back(std::move(outgoing));
+    items.push_back(std::move(outgoing));
   }
+  return items;
+}
+
+}  // namespace
+
+SyncRequest make_request(Replica& target, ForwardingPolicy* target_policy,
+                         ReplicaId source_id, SimTime now) {
+  return SyncRequest{target.id(), target.filter(), target.knowledge(),
+                     routing_state_of(target, target_policy, source_id, now)};
+}
+
+SyncBatch build_batch(Replica& source, ForwardingPolicy* source_policy,
+                      const SyncRequest& request, SimTime now,
+                      const SyncOptions& options,
+                      bool process_routing_state) {
+  const SyncContext source_ctx{source.id(), request.target, now};
+  if (source_policy && process_routing_state)
+    source_policy->process_request(source_ctx, request.routing_state);
+  const BatchPlan plan = plan_batch(source, source_policy, source_ctx,
+                                    request.filter, request.knowledge,
+                                    options);
+  SyncBatch batch;
+  batch.source = source.id();
+  batch.complete = plan.complete;
+  // The knowledge as it stands before on_forward, which may discard a
+  // forwarded relay copy (custody transfer).
+  batch.source_knowledge = source.knowledge();
+  batch.items = take_items(source, source_policy, source_ctx, plan);
   return batch;
 }
 
@@ -228,47 +270,37 @@ SummaryRequestInfo make_summary_request(Replica& target,
                                         ForwardingPolicy* target_policy,
                                         ReplicaId source_id, SimTime now,
                                         const SummaryParams& params) {
-  const SyncContext target_ctx{target.id(), source_id, now};
   SummaryRequestInfo req;
   req.target = target.id();
   req.filter = target.filter();
   req.summary = summarize(target.knowledge(), params);
-  req.routing_state = target_policy
-                          ? target_policy->generate_request(target_ctx)
-                          : std::vector<std::uint8_t>{};
+  req.routing_state = routing_state_of(target, target_policy, source_id, now);
   return req;
 }
 
-SummaryAnswer answer_summary(Replica& source,
-                             ForwardingPolicy* source_policy,
-                             const SummaryRequestInfo& request, SimTime now,
-                             const SyncOptions& options) {
+namespace {
+
+/// answer_summary's decision, leaving a Batch answer's batch unbuilt.
+/// Processes the request's routing state, whatever the answer.
+SummaryAnswer::Kind decide_summary(Replica& source,
+                                   ForwardingPolicy* source_policy,
+                                   const SummaryRequestInfo& request,
+                                   SimTime now, const SyncOptions& options) {
   // Policy parity with the exact path: the routing state is processed
   // exactly once per sync, here, whatever the answer turns out to be.
   const SyncContext source_ctx{source.id(), request.target, now};
   if (source_policy)
     source_policy->process_request(source_ctx, request.routing_state);
 
-  SummaryAnswer answer;
   // summary_force_collision simulates the 2^-64 digest collision: a
   // spurious Match that defers items to a future exact sync.
   if (options.summary_force_collision ||
       request.summary.digest == source.knowledge().wire_digest()) {
-    answer.kind = SummaryAnswer::Kind::Match;
-    return answer;
+    return SummaryAnswer::Kind::Match;
   }
-
-  if (options.unsafe_summary_skip_fallback) {
-    // TESTING ONLY — the skip-fallback mutant: answer the mismatch with
-    // an empty "complete" batch carrying real knowledge, so the target
-    // learns events for items it never received. The check harness's
-    // knowledge-soundness oracle must flag exactly this.
-    answer.kind = SummaryAnswer::Kind::Batch;
-    answer.batch.source = source.id();
-    answer.batch.complete = true;
-    answer.batch.source_knowledge = source.knowledge();
-    return answer;
-  }
+  // TESTING ONLY — the skip-fallback mutant answers the mismatch with
+  // an empty "complete" batch (see answer_summary).
+  if (options.unsafe_summary_skip_fallback) return SummaryAnswer::Kind::Batch;
 
   if (request.summary.bloom.has_value()) {
     const BloomFilter& bloom = *request.summary.bloom;
@@ -277,24 +309,41 @@ SummaryAnswer answer_summary(Replica& source,
       const Version& v = entry.item.version();
       if (bloom.maybe_contains(v.author, v.counter)) any_hit = true;
     });
-    if (!any_hit) {
-      // Bloom misses are definitive: the target knows no stored item's
-      // event, so the batch built against *empty* knowledge is exactly
-      // the batch the exact path would have built — same candidates,
-      // honest complete flag, real source knowledge. Routing state was
-      // already processed above.
-      SyncRequest exact;
-      exact.target = request.target;
-      exact.filter = request.filter;
-      exact.routing_state = request.routing_state;
-      answer.kind = SummaryAnswer::Kind::Batch;
-      answer.batch = build_batch(source, source_policy, exact, now, options,
-                                 /*process_routing_state=*/false);
-      return answer;
-    }
+    // Bloom misses are definitive: the target knows no stored item's
+    // event, so the batch built against *empty* knowledge is exactly
+    // the batch the exact path would have built — same candidates,
+    // honest complete flag, real source knowledge.
+    if (!any_hit) return SummaryAnswer::Kind::Batch;
   }
+  return SummaryAnswer::Kind::Miss;
+}
 
-  answer.kind = SummaryAnswer::Kind::Miss;
+}  // namespace
+
+SummaryAnswer answer_summary(Replica& source,
+                             ForwardingPolicy* source_policy,
+                             const SummaryRequestInfo& request, SimTime now,
+                             const SyncOptions& options) {
+  SummaryAnswer answer;
+  answer.kind = decide_summary(source, source_policy, request, now, options);
+  if (answer.kind != SummaryAnswer::Kind::Batch) return answer;
+  if (options.unsafe_summary_skip_fallback) {
+    // TESTING ONLY — the skip-fallback mutant: real knowledge with no
+    // items, so the target learns events for items it never received.
+    // The check harness's knowledge-soundness oracle must flag exactly
+    // this.
+    answer.batch.source = source.id();
+    answer.batch.complete = true;
+    answer.batch.source_knowledge = source.knowledge();
+    return answer;
+  }
+  // Routing state was already processed by decide_summary.
+  SyncRequest exact;
+  exact.target = request.target;
+  exact.filter = request.filter;
+  exact.routing_state = request.routing_state;
+  answer.batch = build_batch(source, source_policy, exact, now, options,
+                             /*process_routing_state=*/false);
   return answer;
 }
 
@@ -302,21 +351,29 @@ SyncResult apply_summary_match(Replica& target,
                                const SyncOptions& options) {
   // Equal digests mean the source's wire knowledge is byte-identical
   // to our own, so the complete-sync finish the exact path would run
-  // is reproducible locally: learn decode(encode(own knowledge)).
-  ByteWriter w;
-  target.knowledge().serialize(w);
-  ByteReader r(w.bytes());
-  const Knowledge source_knowledge = Knowledge::deserialize(r);
-  PFRDTN_ENSURE(r.done());
+  // is reproducible locally: learn decode(encode(own knowledge)) — the
+  // cached wire form, held by pointer while learning mutates the
+  // knowledge it came from.
+  const std::shared_ptr<const Knowledge> source_knowledge =
+      target.knowledge().wire_form();
   BatchApplier applier(target, options);
-  return applier.finish(/*complete=*/true, source_knowledge);
+  return applier.finish(/*complete=*/true, *source_knowledge);
 }
+
+namespace {
+
+void write_batch_begin(ByteWriter& w, ReplicaId source, bool complete,
+                       std::uint64_t count) {
+  w.uvarint(source.value());
+  w.u8(complete ? 1 : 0);
+  w.uvarint(count);
+}
+
+}  // namespace
 
 std::vector<std::uint8_t> encode_batch_begin(const SyncBatch& batch) {
   ByteWriter w;
-  w.uvarint(batch.source.value());
-  w.u8(batch.complete ? 1 : 0);
-  w.uvarint(batch.items.size());
+  write_batch_begin(w, batch.source, batch.complete, batch.items.size());
   return w.take();
 }
 
@@ -390,10 +447,41 @@ std::string sync_error_code_name(std::uint8_t code) {
   }
 }
 
-std::size_t wire_size(const SyncRequest& request) {
+namespace {
+
+/// Framed bytes of a Request frame carrying these fields — what
+/// SyncRequest::serialize writes, with the knowledge's cached size in
+/// place of re-encoding it.
+std::size_t request_wire_size(ReplicaId target, const Filter& filter,
+                              const Knowledge& knowledge,
+                              const std::vector<std::uint8_t>& routing_state) {
   ByteWriter w;
-  request.serialize(w);
-  return framed_size(w.size());
+  w.uvarint(target.value());
+  filter.serialize(w);
+  w.raw(routing_state);
+  return framed_size(w.size() + knowledge.size_bytes());
+}
+
+/// Framed bytes of a streamed batch: BatchBegin, one BatchItem per
+/// item, and BatchEnd carrying `knowledge_bytes` of source knowledge.
+std::size_t batch_wire_size(ReplicaId source, bool complete,
+                            const std::vector<Item>& items,
+                            std::size_t knowledge_bytes) {
+  ByteWriter begin;
+  write_batch_begin(begin, source, complete, items.size());
+  std::size_t total = framed_size(begin.size());
+  // Item::wire_size() is the replicated size cached on the shared
+  // payload plus the copy's transient fields — byte-for-byte what
+  // serialize() would write, without re-serializing metadata and body.
+  for (const Item& item : items) total += framed_size(item.wire_size());
+  return total + framed_size(knowledge_bytes);
+}
+
+}  // namespace
+
+std::size_t wire_size(const SyncRequest& request) {
+  return request_wire_size(request.target, request.filter, request.knowledge,
+                           request.routing_state);
 }
 
 std::size_t wire_size(const SummaryRequestInfo& request) {
@@ -403,31 +491,68 @@ std::size_t wire_size(const SummaryRequestInfo& request) {
 }
 
 std::size_t wire_size(const SyncBatch& batch) {
-  std::size_t total = framed_size(encode_batch_begin(batch).size());
-  // Item::wire_size() is the replicated size cached on the shared
-  // payload plus the copy's transient fields — byte-for-byte what
-  // serialize() would write, without re-serializing metadata and body.
-  for (const Item& item : batch.items)
-    total += framed_size(item.wire_size());
-  ByteWriter w;
-  batch.source_knowledge.serialize(w);
-  total += framed_size(w.size());
-  return total;
+  return batch_wire_size(batch.source, batch.complete, batch.items,
+                         batch.source_knowledge.size_bytes());
 }
 
 namespace {
 
-/// One serialize/deserialize round trip of a protocol message — the
-/// in-process stand-in for a transport hop.
-template <typename Message>
-Message roundtrip(const Message& message, std::size_t& framed_bytes) {
-  ByteWriter w;
-  message.serialize(w);
-  framed_bytes += framed_size(w.size());
-  ByteReader r(w.bytes());
-  Message received = Message::deserialize(r);
-  PFRDTN_ENSURE(r.done());
-  return received;
+// ---- the in-process path ----------------------------------------------
+//
+// run_sync plays both sides in one address space, so nothing crosses a
+// transport: the source reads the target's filter and routing state
+// directly and its knowledge in the cached wire form (the value the
+// source would decode), items pass as refcounted copies (shared
+// payload, copied transient map — equal to a decoded copy), and the
+// target learns the source's knowledge in its wire form. Byte counts
+// are those of the frames a transport would carry, from cached sizes.
+
+/// Finish an in-process sync once the source has processed the routing
+/// state and planned its batch: take the outgoing copies, apply them at
+/// the target, and learn the source's knowledge as sent. Reports the
+/// batch's framed bytes; request_bytes is left to the caller.
+SyncResult deliver_in_process(Replica& source, Replica& target,
+                              ForwardingPolicy* source_policy,
+                              const SyncContext& source_ctx,
+                              const BatchPlan& plan,
+                              const SyncOptions& options) {
+  // Snapshot the knowledge before on_forward, exactly as build_batch
+  // does: the pointer keeps this revision's wire form alive.
+  const std::shared_ptr<const Knowledge> source_knowledge =
+      source.knowledge().wire_form();
+  const std::size_t knowledge_bytes = source.knowledge().size_bytes();
+  const std::vector<Item> items =
+      take_items(source, source_policy, source_ctx, plan);
+  BatchApplier applier(target, options);
+  for (const Item& item : items) applier.apply(item);
+  SyncResult result = applier.finish(plan.complete, *source_knowledge);
+  result.stats.batch_bytes =
+      batch_wire_size(source.id(), plan.complete, items, knowledge_bytes);
+  return result;
+}
+
+/// The exact Figure-4 answer to `target`, in process. Routing state is
+/// processed here unless the summary step already did.
+SyncResult exact_in_process(Replica& source, Replica& target,
+                            ForwardingPolicy* source_policy,
+                            const std::vector<std::uint8_t>& routing_state,
+                            bool process_routing_state, SimTime now,
+                            const SyncOptions& options) {
+  // The request as sent, before the batch changes the target.
+  const std::size_t request_bytes = request_wire_size(
+      target.id(), target.filter(), target.knowledge(), routing_state);
+  const std::shared_ptr<const Knowledge> request_knowledge =
+      target.knowledge().wire_form();
+  const SyncContext source_ctx{source.id(), target.id(), now};
+  if (source_policy && process_routing_state)
+    source_policy->process_request(source_ctx, routing_state);
+  const BatchPlan plan =
+      plan_batch(source, source_policy, source_ctx, target.filter(),
+                 *request_knowledge, options);
+  SyncResult result = deliver_in_process(source, target, source_policy,
+                                         source_ctx, plan, options);
+  result.stats.request_bytes = request_bytes;
+  return result;
 }
 
 SyncResult run_summary_sync(Replica& source, Replica& target,
@@ -435,33 +560,36 @@ SyncResult run_summary_sync(Replica& source, Replica& target,
                             ForwardingPolicy* target_policy, SimTime now,
                             const SyncOptions& options) {
   // ---- target opens with the summary ----
-  std::size_t request_bytes = 0;
-  std::size_t batch_bytes = 0;
   const SummaryRequestInfo summary_request = make_summary_request(
       target, target_policy, source.id(), now, options.summary);
-  const SummaryRequestInfo received =
-      roundtrip(summary_request, request_bytes);
+  const std::size_t summary_bytes = wire_size(summary_request);
 
   // ---- source decides ----
-  const SummaryAnswer answer =
-      answer_summary(source, source_policy, received, now, options);
-
+  const SummaryAnswer::Kind kind =
+      decide_summary(source, source_policy, summary_request, now, options);
   const std::size_t reply_bytes =
       framed_size(encode_summary_reply(source.id()).size());
-  switch (answer.kind) {
-    case SummaryAnswer::Kind::Match: {
-      batch_bytes += reply_bytes;  // the SummaryMatch frame
-      SyncResult result = apply_summary_match(target, options);
-      result.stats.request_bytes = request_bytes;
-      result.stats.batch_bytes = batch_bytes;
+  SyncResult result;
+  switch (kind) {
+    case SummaryAnswer::Kind::Match:
+      result = apply_summary_match(target, options);
+      result.stats.request_bytes = summary_bytes;
+      result.stats.batch_bytes = reply_bytes;  // the SummaryMatch frame
       return result;
-    }
     case SummaryAnswer::Kind::Batch: {
-      SyncResult result =
-          apply_batch(target, roundtrip(answer.batch, batch_bytes), options);
-      // As in run_sync: measure the batch as sent, not re-serialized.
-      result.stats.request_bytes = request_bytes;
-      result.stats.batch_bytes = wire_size(answer.batch);
+      // Routing state was processed by decide_summary. The skip-fallback
+      // mutant sends no items; otherwise the batch is planned against
+      // empty knowledge (see decide_summary).
+      const SyncContext source_ctx{source.id(), target.id(), now};
+      const Knowledge none;
+      const BatchPlan plan =
+          options.unsafe_summary_skip_fallback
+              ? BatchPlan{}
+              : plan_batch(source, source_policy, source_ctx,
+                           target.filter(), none, options);
+      result = deliver_in_process(source, target, source_policy, source_ctx,
+                                  plan, options);
+      result.stats.request_bytes = summary_bytes;
       return result;
     }
     case SummaryAnswer::Kind::Miss:
@@ -469,20 +597,14 @@ SyncResult run_summary_sync(Replica& source, Replica& target,
   }
 
   // ---- Miss: same-session exact fallback ----
-  batch_bytes += reply_bytes;  // the SummaryMiss frame
   // The fallback request reuses the routing state the summary already
-  // carried (and answer_summary already processed): policy hooks run
+  // carried (and decide_summary already processed): policy hooks run
   // exactly once per sync on every path.
-  const SyncRequest exact{target.id(), target.filter(), target.knowledge(),
-                          summary_request.routing_state};
-  const SyncRequest exact_received = roundtrip(exact, request_bytes);
-  const SyncBatch batch =
-      build_batch(source, source_policy, exact_received, now, options,
-                  /*process_routing_state=*/false);
-  std::size_t ignored = 0;
-  SyncResult result = apply_batch(target, roundtrip(batch, ignored), options);
-  result.stats.request_bytes = request_bytes;
-  result.stats.batch_bytes = batch_bytes + wire_size(batch);
+  result = exact_in_process(source, target, source_policy,
+                            summary_request.routing_state,
+                            /*process_routing_state=*/false, now, options);
+  result.stats.request_bytes += summary_bytes;
+  result.stats.batch_bytes += reply_bytes;  // the SummaryMiss frame
   return result;
 }
 
@@ -497,35 +619,10 @@ SyncResult run_sync(Replica& source, Replica& target,
     return run_summary_sync(source, target, source_policy, target_policy,
                             now, options);
   }
-
-  // ---- target builds and "sends" the request ----
-  const SyncRequest request =
-      make_request(target, target_policy, source.id(), now);
-  ByteWriter request_writer;
-  request.serialize(request_writer);
-  const std::size_t request_bytes = framed_size(request_writer.size());
-  ByteReader request_reader(request_writer.bytes());
-  const SyncRequest received = SyncRequest::deserialize(request_reader);
-  PFRDTN_ENSURE(request_reader.done());
-
-  // ---- source answers ----
-  const SyncBatch batch =
-      build_batch(source, source_policy, received, now, options);
-  ByteWriter batch_writer;
-  batch.serialize(batch_writer);
-  ByteReader batch_reader(batch_writer.bytes());
-  const SyncBatch arrived = SyncBatch::deserialize(batch_reader);
-  PFRDTN_ENSURE(batch_reader.done());
-
-  // ---- target applies the batch ----
-  SyncResult result = apply_batch(target, arrived, options);
-  result.stats.request_bytes = request_bytes;
-  // Measure the batch as *sent*, not as re-serialized after the
-  // roundtrip: deserializing knowledge folds extras into the version
-  // vector, so `arrived` can re-encode smaller than what a transport
-  // would actually carry.
-  result.stats.batch_bytes = wire_size(batch);
-  return result;
+  const std::vector<std::uint8_t> routing_state =
+      routing_state_of(target, target_policy, source.id(), now);
+  return exact_in_process(source, target, source_policy, routing_state,
+                          /*process_routing_state=*/true, now, options);
 }
 
 }  // namespace pfrdtn::repl

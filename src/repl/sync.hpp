@@ -15,9 +15,9 @@
 ///            merge source knowledge scoped to own filter iff the batch
 ///            was complete (no filter-matching item truncated).
 ///
-/// Requests and batches make a full serialize/deserialize round trip
-/// through the wire format on every sync, so byte counts are honest and
-/// the format is exercised continuously.
+/// Across a transport (src/net/) requests and batches travel in the
+/// wire format. The in-process path (run_sync) makes no codec hop but
+/// reproduces its effect exactly and counts the bytes it would carry.
 
 #include <optional>
 
@@ -347,10 +347,20 @@ std::size_t wire_size(const SyncBatch& batch);
 std::size_t wire_size(const SummaryRequestInfo& request);
 
 /// Run one one-way synchronization in which `target` pulls from
-/// `source`. Policies may be null (unmodified substrate). A thin
-/// wrapper over make_request / build_batch / apply_batch that still
-/// pushes both messages through a full serialize/deserialize round
-/// trip, reporting framed wire byte counts.
+/// `source`. Policies may be null (unmodified substrate). The steps of
+/// make_request / build_batch / apply_batch, in one address space with
+/// no serialize/deserialize hop, and still the same result as one:
+///  - the source answers the target's knowledge in its cached wire
+///    form, Knowledge::wire_form() = decode(encode(knowledge)), and the
+///    target learns the source's knowledge in that form, so the wire's
+///    fold of pinned extras into the version vector still happens;
+///  - item copies pass by value: a shared immutable payload plus a
+///    copied transient map, equal to what decoding would produce;
+///  - filter and routing state pass as they are (their codecs are
+///    exact round trips).
+/// request_bytes and batch_bytes are the framed bytes a transport
+/// would carry, as sent, from cached sizes. Knowledge is never deep-
+/// copied; its cached views are refreshed only when it changed.
 SyncResult run_sync(Replica& source, Replica& target,
                     ForwardingPolicy* source_policy,
                     ForwardingPolicy* target_policy, SimTime now,

@@ -214,15 +214,75 @@ void serialize_extras(
   }
 }
 
+using ExtrasMap = std::map<ReplicaId, std::set<std::uint64_t>>;
+
+/// Visit the ascending union of two counter sets.
+template <typename Fn>
+void for_each_in_union(const std::set<std::uint64_t>& a,
+                       const std::set<std::uint64_t>& b, Fn&& fn) {
+  auto ai = a.begin();
+  auto bi = b.begin();
+  while (ai != a.end() || bi != b.end()) {
+    if (bi == b.end() || (ai != a.end() && *ai < *bi)) {
+      fn(*ai++);
+    } else if (ai == a.end() || *bi < *ai) {
+      fn(*bi++);
+    } else {
+      fn(*ai++);
+      ++bi;
+    }
+  }
+}
+
+/// Visit every author of either map in ascending order, with its
+/// counter sets in both (empty where the author is absent).
+template <typename Fn>
+void for_each_author_in_union(const ExtrasMap& a, const ExtrasMap& b,
+                              Fn&& fn) {
+  static const std::set<std::uint64_t> kNone;
+  auto ai = a.begin();
+  auto bi = b.begin();
+  while (ai != a.end() || bi != b.end()) {
+    if (bi == b.end() || (ai != a.end() && ai->first < bi->first)) {
+      fn(ai->first, ai->second, kNone);
+      ++ai;
+    } else if (ai == a.end() || bi->first < ai->first) {
+      fn(bi->first, kNone, bi->second);
+      ++bi;
+    } else {
+      fn(ai->first, ai->second, bi->second);
+      ++ai;
+      ++bi;
+    }
+  }
+}
+
 }  // namespace
 
 void VersionSet::serialize(ByteWriter& w) const {
-  // Pinned-ness is local; on the wire both groups are plain extras.
+  // Pinned-ness is local; on the wire both groups are plain extras:
+  // the bytes serialize_extras would write for the union of the two
+  // maps, produced by a merge-walk instead of a merged copy.
   vv_.serialize(w);
-  auto combined = extras_;
-  for (const auto& [author, counters] : pinned_)
-    combined[author].insert(counters.begin(), counters.end());
-  serialize_extras(w, combined);
+  std::size_t authors = 0;
+  for_each_author_in_union(
+      extras_, pinned_,
+      [&](ReplicaId, const auto&, const auto&) { ++authors; });
+  w.uvarint(authors);
+  for_each_author_in_union(
+      extras_, pinned_,
+      [&](ReplicaId author, const std::set<std::uint64_t>& extras,
+          const std::set<std::uint64_t>& pinned) {
+        std::size_t count = 0;
+        for_each_in_union(extras, pinned, [&](std::uint64_t) { ++count; });
+        w.uvarint(author.value());
+        w.uvarint(count);
+        std::uint64_t prev = 0;
+        for_each_in_union(extras, pinned, [&](std::uint64_t counter) {
+          w.uvarint(counter - prev);  // delta-encoded, counters ascending
+          prev = counter;
+        });
+      });
 }
 
 VersionSet VersionSet::deserialize(ByteReader& r) {

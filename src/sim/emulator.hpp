@@ -106,6 +106,12 @@ class Emulation {
     return encounter_counts_;
   }
 
+  /// The node emulating `bus` (its replica's state after run(), for
+  /// differential tests across sync paths).
+  [[nodiscard]] const dtn::DtnNode& node(trace::BusIndex bus) const {
+    return *nodes_.at(bus);
+  }
+
   /// The DTN address of a bus (buses host one permanent address each).
   [[nodiscard]] static HostId bus_address(trace::BusIndex bus) {
     return HostId(kBusAddressBase + bus);

@@ -30,6 +30,17 @@ TEST(Registry, Aliases) {
   EXPECT_EQ(make_policy("none")->name(), "cimbiosys");
 }
 
+TEST(Registry, OnlyTheNullPolicyForwardsNothingOutOfFilter) {
+  for (const auto& name : {"cimbiosys", "direct", "none"})
+    EXPECT_FALSE(make_policy(name)->forwards_out_of_filter()) << name;
+  std::vector<std::string> forwarding = known_policies();
+  for (const auto& name : baseline_policies()) forwarding.push_back(name);
+  for (const auto& name : forwarding) {
+    if (name == "cimbiosys") continue;
+    EXPECT_TRUE(make_policy(name)->forwards_out_of_filter()) << name;
+  }
+}
+
 TEST(Registry, UnknownPolicyThrows) {
   EXPECT_THROW(make_policy("gossipzilla"), ContractViolation);
 }

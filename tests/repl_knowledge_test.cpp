@@ -158,5 +158,87 @@ TEST(Knowledge, WeightCountsFragments) {
   EXPECT_GE(k.weight(), 1u);
 }
 
+/// decode(encode(k)), the value the wire form must equal.
+std::vector<std::uint8_t> exact_bytes_of_round_trip(const Knowledge& k) {
+  ByteWriter w;
+  k.serialize(w);
+  ByteReader r(w.bytes());
+  const Knowledge decoded = Knowledge::deserialize(r);
+  ByteWriter exact;
+  decoded.serialize_exact(exact);
+  return exact.take();
+}
+
+std::vector<std::uint8_t> exact_bytes(const Knowledge& k) {
+  ByteWriter w;
+  k.serialize_exact(w);
+  return w.take();
+}
+
+TEST(Knowledge, WireFormIsTheDecodedWireValue) {
+  Knowledge k;
+  k.add_exact_pinned(v(2, 1));  // a pinned extra the wire folds
+  k.add_exact(v(2, 2));
+  k.add_exact(v(3, 5));
+  Knowledge peer;
+  peer.add_exact(v(4, 1));
+  peer.add_exact(v(4, 3));
+  k.merge_scoped(peer, Filter::addresses({HostId(9)}));
+  ASSERT_FALSE(k.fragments().empty());
+
+  const auto form = k.wire_form();
+  ASSERT_NE(form, nullptr);
+  EXPECT_EQ(exact_bytes(*form), exact_bytes_of_round_trip(k));
+  EXPECT_NE(exact_bytes(*form), exact_bytes(k));  // the fold happened
+  ByteWriter w;
+  k.serialize(w);
+  EXPECT_EQ(k.size_bytes(), w.size());
+  // Re-encoding the folded form is smaller than what was sent: byte
+  // counts must come from size_bytes(), never from the form.
+  ByteWriter fw;
+  form->serialize(fw);
+  EXPECT_LT(fw.size(), w.size());
+}
+
+TEST(Knowledge, WireCacheFollowsRevisions) {
+  Knowledge k;
+  k.add_exact(v(2, 1));
+  const auto first = k.wire_form();
+  const std::size_t first_size = k.size_bytes();
+  const std::uint64_t first_digest = k.wire_digest();
+  // Unchanged knowledge reuses the cached form.
+  EXPECT_EQ(k.wire_form(), first);
+  k.add_exact(v(2, 1));  // duplicate: no revision bump
+  EXPECT_EQ(k.wire_form(), first);
+
+  k.add_exact(v(7, 4));
+  const auto second = k.wire_form();
+  EXPECT_NE(second, first);
+  EXPECT_EQ(exact_bytes(*second), exact_bytes_of_round_trip(k));
+  EXPECT_GT(k.size_bytes(), first_size);
+  EXPECT_NE(k.wire_digest(), first_digest);
+  // A held form keeps the value it had when taken.
+  EXPECT_TRUE(first->knows(message_to(1), v(2, 1)));
+  EXPECT_FALSE(first->knows(message_to(1), v(7, 4)));
+
+  // Forgetting is a change too.
+  ASSERT_TRUE(k.forget_exact(v(7, 4)));
+  EXPECT_EQ(k.size_bytes(), first_size);
+  EXPECT_EQ(k.wire_digest(), first_digest);
+  EXPECT_FALSE(k.wire_form()->knows(message_to(1), v(7, 4)));
+}
+
+TEST(Knowledge, CopiesShareAValidCache) {
+  Knowledge k;
+  k.add_exact(v(2, 3));
+  const auto form = k.wire_form();
+  Knowledge copy = k;
+  EXPECT_EQ(copy.wire_form(), form);
+  copy.add_exact(v(2, 4));
+  EXPECT_NE(copy.wire_form(), form);
+  EXPECT_EQ(k.wire_form(), form);
+  EXPECT_EQ(exact_bytes(*copy.wire_form()), exact_bytes_of_round_trip(copy));
+}
+
 }  // namespace
 }  // namespace pfrdtn::repl

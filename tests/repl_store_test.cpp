@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
+
+#include "util/rng.hpp"
+
 namespace pfrdtn::repl {
 namespace {
 
@@ -343,6 +349,228 @@ TEST(ItemStore, RefilterOutputIsArrivalOrdered) {
   std::vector<std::uint64_t> fresh_ids;
   for (const Item& it : fresh) fresh_ids.push_back(it.id().value());
   EXPECT_EQ(fresh_ids, arrivals);
+}
+
+// ---- version index ---------------------------------------------------
+
+Item authored(std::uint64_t id, std::uint64_t author, std::uint64_t counter,
+              std::uint64_t dest = 1) {
+  return Item(ItemId(id), Version{ReplicaId(author), counter, 1},
+              {{meta::kDest, std::to_string(dest)}}, {});
+}
+
+VersionVector prefix(std::map<std::uint64_t, std::uint64_t> entries) {
+  VersionVector vv;
+  for (const auto& [author, counter] : entries)
+    vv.extend(ReplicaId(author), counter);
+  return vv;
+}
+
+/// Ids visited by for_each_transient_above, in visit order.
+std::vector<std::uint64_t> above(ItemStore& store, const VersionVector& vv) {
+  std::vector<std::uint64_t> seen;
+  store.for_each_transient_above(
+      vv, [&](const ItemStore::Entry& entry, TransientView) {
+        seen.push_back(entry.item.id().value());
+      });
+  return seen;
+}
+
+/// The same set by brute force: the whole-store arrival-order scan
+/// for_each_transient_above replaces on the sync path.
+std::vector<std::uint64_t> above_by_scan(ItemStore& store,
+                                         const VersionVector& vv) {
+  std::vector<std::uint64_t> seen;
+  store.for_each_transient(
+      [&](const ItemStore::Entry& entry, TransientView) {
+        const Version& v = entry.item.version();
+        if (!vv.includes(v.author, v.counter))
+          seen.push_back(entry.item.id().value());
+      });
+  return seen;
+}
+
+TEST(ItemStoreVersionIndex, VisitsOnlyEventsAboveThePrefixInArrivalOrder) {
+  ItemStore store;
+  store.put(authored(10, /*author=*/2, 5), true, false);
+  store.put(authored(11, 1, 1), true, false);
+  store.put(authored(12, 1, 3), false, false);
+  store.put(authored(13, 2, 1), false, false);
+  store.put(authored(14, 3, 7), true, false);
+  EXPECT_EQ(above(store, prefix({})),
+            (std::vector<std::uint64_t>{10, 11, 12, 13, 14}));
+  EXPECT_EQ(above(store, prefix({{1, 2}, {2, 4}})),
+            (std::vector<std::uint64_t>{10, 12, 14}));
+  EXPECT_EQ(above(store, prefix({{1, 3}, {2, 5}, {3, 7}})),
+            std::vector<std::uint64_t>{});
+  EXPECT_EQ(store.check_indexes(), "");
+}
+
+TEST(ItemStoreVersionIndex, FollowsSupersedeAndRemove) {
+  ItemStore store;
+  store.put(authored(1, 1, 1), true, false);
+  store.put(authored(2, 1, 2), true, false);
+  // A newer version by another author moves the entry's key.
+  store.supersede(ItemId(1),
+                  Item::Payload::make(ItemId(1), Version{ReplicaId(2), 9, 2},
+                                      {}, {}, /*deleted=*/false),
+                  true, false);
+  EXPECT_EQ(above(store, prefix({{1, 5}})), std::vector<std::uint64_t>{1});
+  EXPECT_EQ(above(store, prefix({{2, 9}})), std::vector<std::uint64_t>{2});
+  EXPECT_EQ(store.check_indexes(), "");
+  EXPECT_TRUE(store.remove(ItemId(1)));
+  EXPECT_EQ(above(store, prefix({})), std::vector<std::uint64_t>{2});
+  EXPECT_EQ(store.check_indexes(), "");
+  // Re-putting an id replaces its version in the index.
+  store.put(authored(2, 3, 4), true, false);
+  EXPECT_EQ(above(store, prefix({{1, 2}})), std::vector<std::uint64_t>{2});
+  EXPECT_EQ(above(store, prefix({{3, 4}})), std::vector<std::uint64_t>{});
+  EXPECT_EQ(store.check_indexes(), "");
+}
+
+TEST(ItemStoreVersionIndex, FollowsRefilterAndCapacityEviction) {
+  ItemStore store(ItemStore::Config{2, EvictionOrder::Fifo});
+  store.put(authored(1, 1, 1, /*dest=*/1), false, false);
+  store.put(authored(2, 1, 2, /*dest=*/2), false, false);
+  const auto evicted = store.put(authored(3, 1, 3, /*dest=*/1), false, false);
+  ASSERT_EQ(evicted.size(), 1u);
+  EXPECT_EQ(above(store, prefix({})), (std::vector<std::uint64_t>{2, 3}));
+  EXPECT_EQ(store.check_indexes(), "");
+
+  // Refilter flips flags, never versions; moving both copies out of
+  // the relay store and one back keeps every entry indexed once.
+  std::vector<Item> victims;
+  store.refilter([](const Item&) { return true; }, victims);
+  store.refilter([](const Item& it) { return it.id() == ItemId(2); },
+                 victims);
+  EXPECT_TRUE(victims.empty());
+  EXPECT_EQ(above(store, prefix({{1, 2}})), std::vector<std::uint64_t>{3});
+  EXPECT_EQ(store.check_indexes(), "");
+
+  store.set_relay_capacity(0);
+  store.refilter([](const Item&) { return false; }, victims);
+  EXPECT_EQ(victims.size(), 2u);
+  EXPECT_EQ(above(store, prefix({})), std::vector<std::uint64_t>{});
+  EXPECT_EQ(store.check_indexes(), "");
+}
+
+TEST(ItemStoreVersionIndex, RestoredEntriesVisitInRestoredArrivalOrder) {
+  ItemStore store;
+  store.restore_entry(authored(1, 1, 1), true, false, /*arrival_seq=*/30);
+  store.restore_entry(authored(2, 1, 2), false, false, /*arrival_seq=*/10);
+  store.restore_entry(authored(3, 2, 1), false, true, /*arrival_seq=*/20);
+  EXPECT_EQ(above(store, prefix({})), (std::vector<std::uint64_t>{2, 3, 1}));
+  EXPECT_EQ(store.check_indexes(), "");
+}
+
+TEST(ItemStoreVersionIndex, StaysExactWhenTwoItemsShareAnEvent) {
+  // Only convention keeps (author, counter) unique to one item; a
+  // hostile peer can break it, and the index must stay exact anyway.
+  ItemStore store;
+  store.put(authored(1, 1, 4), true, false);
+  store.put(authored(2, 1, 4), true, false);
+  EXPECT_EQ(above(store, prefix({{1, 3}})),
+            (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_TRUE(store.remove(ItemId(1)));
+  EXPECT_EQ(above(store, prefix({{1, 3}})), std::vector<std::uint64_t>{2});
+  EXPECT_EQ(store.check_indexes(), "");
+}
+
+TEST(ItemStore, RepeatedDestAddressIsIndexedOnce) {
+  // Item metadata comes from peers; a dest list naming one address
+  // twice must not leave an item that cannot be removed or replaced.
+  ItemStore store;
+  store.put(Item(ItemId(1), Version{ReplicaId(1), 1, 1},
+                 {{meta::kDest, "3,3"}}, {}),
+            false, false);
+  EXPECT_EQ(store.check_indexes(), "");
+  store.put(Item(ItemId(1), Version{ReplicaId(1), 2, 2},
+                 {{meta::kDest, "3,4,3"}}, {}),
+            false, false);
+  EXPECT_EQ(store.check_indexes(), "");
+  EXPECT_TRUE(store.remove(ItemId(1)));
+  EXPECT_EQ(store.check_indexes(), "");
+  EXPECT_EQ(store.relay_count(), 0u);
+}
+
+TEST(ItemStore, CopyIndexesItsOwnEntries) {
+  // Replicas are copied (snapshots, check-harness rollbacks); a copy's
+  // indexes must point into its own entries, not the original's.
+  auto original = std::make_unique<ItemStore>(
+      ItemStore::Config{4, EvictionOrder::Fifo});
+  original->put(authored(1, 1, 1, /*dest=*/7), false, false);
+  original->put(authored(2, 2, 3, /*dest=*/8), true, false);
+  ItemStore copy(*original);
+  ItemStore assigned;
+  assigned = *original;
+  original.reset();
+  for (ItemStore* store : {&copy, &assigned}) {
+    EXPECT_EQ(store->check_indexes(), "");
+    EXPECT_EQ(above(*store, prefix({{1, 0}})),
+              (std::vector<std::uint64_t>{1, 2}));
+    std::vector<std::uint64_t> matched;
+    store->for_filter_matches(Filter::addresses({HostId(7)}),
+                              [&](const ItemStore::Entry& entry) {
+                                matched.push_back(entry.item.id().value());
+                                return true;
+                              });
+    EXPECT_EQ(matched, std::vector<std::uint64_t>{1});
+    EXPECT_EQ(store->relay_count(), 1u);
+    EXPECT_EQ(store->evictable_count(), 1u);
+    EXPECT_EQ(store->next_arrival_seq(), 2u);
+  }
+}
+
+TEST(ItemStoreVersionIndex, MatchesScanAcrossRandomMutations) {
+  Rng rng(1234);
+  ItemStore store(ItemStore::Config{6, EvictionOrder::Fifo});
+  std::uint64_t next_counter = 1;
+  for (int step = 0; step < 400; ++step) {
+    const std::uint64_t id = 1 + rng.below(24);
+    const std::uint64_t author = 1 + rng.below(4);
+    const std::uint64_t dest = 1 + rng.below(3);
+    switch (rng.below(5)) {
+      case 0:
+      case 1:
+        store.put(authored(id, author, next_counter++, dest),
+                  rng.chance(0.4), rng.chance(0.2));
+        break;
+      case 2:
+        if (store.contains(ItemId(id))) {
+          store.supersede(
+              ItemId(id),
+              Item::Payload::make(ItemId(id),
+                                  Version{ReplicaId(author), next_counter++,
+                                          2 + static_cast<std::uint64_t>(step)},
+                                  {{meta::kDest, std::to_string(dest)}}, {},
+                                  /*deleted=*/false),
+              rng.chance(0.4), false);
+        }
+        break;
+      case 3:
+        store.remove(ItemId(id));
+        break;
+      case 4: {
+        std::vector<Item> evicted;
+        const HostId keep(dest);
+        store.refilter(
+            [keep](const Item& it) {
+              const auto& addrs = it.dest_addresses();
+              return std::find(addrs.begin(), addrs.end(), keep) !=
+                     addrs.end();
+            },
+            evicted);
+        break;
+      }
+    }
+    ASSERT_EQ(store.check_indexes(), "") << "step " << step;
+    std::map<std::uint64_t, std::uint64_t> known;
+    for (std::uint64_t a = 1; a <= 4; ++a) {
+      if (rng.chance(0.7)) known[a] = rng.below(next_counter);
+    }
+    const VersionVector vv = prefix(known);
+    ASSERT_EQ(above(store, vv), above_by_scan(store, vv)) << "step " << step;
+  }
 }
 
 }  // namespace

@@ -379,5 +379,170 @@ TEST(Sync, StatsAccumulate) {
   EXPECT_FALSE(a.complete);
 }
 
+/// Forwards everything at Normal priority and records, in call order,
+/// the id of every stored copy to_send is asked about.
+class RecordingPolicy : public ForwardingPolicy {
+ public:
+  [[nodiscard]] std::string name() const override { return "recording"; }
+  Priority to_send(const SyncContext&, TransientView stored) override {
+    asked.push_back(stored.item().id().value());
+    return Priority::at(PriorityClass::Normal);
+  }
+  std::vector<std::uint64_t> asked;
+};
+
+/// Ids of the entries a whole-store scan finds unknown to `knowledge`
+/// and outside `filter`, in arrival order.
+std::vector<std::uint64_t> unknown_out_of_filter(const Replica& source,
+                                                 const Filter& filter,
+                                                 const Knowledge& knowledge) {
+  std::vector<std::uint64_t> ids;
+  source.store().for_each([&](const ItemStore::Entry& entry) {
+    if (!knowledge.knows(entry.item, entry.item.version()) &&
+        !filter.matches(entry.item)) {
+      ids.push_back(entry.item.id().value());
+    }
+  });
+  return ids;
+}
+
+TEST(Sync, PolicyIsAskedAboutExactlyTheUnknownOutOfFilterEntries) {
+  // The source stores its own copies, pinned relay copies from a third
+  // replica and one in-filter copy; the target knows some of them
+  // exactly, relays some, and holds scoped fragments from an earlier
+  // complete sync — knowledge whose version-vector prefix covers only
+  // part of what it knows.
+  Replica relay = make_replica(3, 7);
+  Replica src = make_replica(1, 5);
+  Replica dst = make_replica(2, 9);
+  ForwardAll forward_all;
+  relay.create(to(9), {'a'});
+  relay.create(to(8), {'b'});
+  relay.create(to(5), {'c'});
+  relay.create(to(8), {'d'});
+  src.create(to(9), {'e'});
+  src.create(to(8), {'f'});
+  src.create(to(6), {'g'});
+  run_sync(relay, src, &forward_all, nullptr, SimTime(0));
+  run_sync(src, dst, nullptr, nullptr, SimTime(1));
+  SyncOptions capped;
+  capped.max_items = 3;  // dst relays some out-of-filter copies only
+  run_sync(src, dst, &forward_all, nullptr, SimTime(2), capped);
+  relay.create(to(8), {'h'});
+  run_sync(relay, src, &forward_all, nullptr, SimTime(3));
+  src.create(to(9), {'i'});
+  src.create(to(4), {'j'});
+
+  std::size_t pinned_relay_copies = 0;
+  src.store().for_each([&](const ItemStore::Entry& entry) {
+    if (entry.evictable() && src.knowledge().can_forget(entry.item.version()))
+      ++pinned_relay_copies;
+  });
+  ASSERT_GE(pinned_relay_copies, 3u);
+  ASSERT_FALSE(dst.knowledge().fragments().empty());
+  ASSERT_GT(dst.store().relay_count(), 0u);
+
+  const SyncRequest request = make_request(dst, nullptr, src.id(), SimTime(4));
+  // Both the request as made and as a peer decodes it.
+  ByteWriter w;
+  request.serialize(w);
+  ByteReader r(w.bytes());
+  const SyncRequest decoded = SyncRequest::deserialize(r);
+  for (const SyncRequest* req : {&request, &decoded}) {
+    const std::vector<std::uint64_t> expected =
+        unknown_out_of_filter(src, req->filter, req->knowledge);
+    ASSERT_GE(expected.size(), 3u);
+    RecordingPolicy recording;
+    const SyncBatch batch = build_batch(src, &recording, *req, SimTime(4));
+    EXPECT_EQ(recording.asked, expected);
+    EXPECT_EQ(batch.items.size(),
+              expected.size() + 1);  // plus the unknown in-filter 'i'
+  }
+}
+
+TEST(Sync, ForwardNothingPolicyNeverAskedAndMatchesNoPolicy) {
+  // A policy declaring it forwards nothing out of filter takes the
+  // filter-index path: to_send is never called, and the batch is the
+  // one built with no policy at all.
+  class ForwardNothing : public RecordingPolicy {
+   public:
+    [[nodiscard]] bool forwards_out_of_filter() const override {
+      return false;
+    }
+  };
+  Replica src = make_replica(1, 5);
+  Replica dst = make_replica(2, 9);
+  src.create(to(9), {'x'});
+  src.create(to(3), {'y'});
+  src.create(to(9), {'z'});
+  const SyncRequest request = make_request(dst, nullptr, src.id(), SimTime(0));
+  ForwardNothing policy;
+  const SyncBatch with_policy = build_batch(src, &policy, request, SimTime(0));
+  const SyncBatch without = build_batch(src, nullptr, request, SimTime(0));
+  EXPECT_TRUE(policy.asked.empty());
+  ByteWriter a;
+  with_policy.serialize(a);
+  ByteWriter b;
+  without.serialize(b);
+  EXPECT_EQ(a.bytes(), b.bytes());
+  EXPECT_EQ(with_policy.items.size(), 2u);
+}
+
+TEST(Sync, InProcessSyncMatchesTheCodecRoundTrip) {
+  // run_sync makes no serialize/deserialize hop; the steps with a real
+  // hop in between must reach the same state and count the same bytes,
+  // through relay copies (pinned extras the wire folds) and learning.
+  Replica relay_a = make_replica(3, 7);
+  Replica src_a = make_replica(1, 5);
+  Replica dst_a = make_replica(2, 9);
+  Replica relay_b = make_replica(3, 7);
+  Replica src_b = make_replica(1, 5);
+  Replica dst_b = make_replica(2, 9);
+  for (Replica* src : {&src_a, &src_b}) {
+    src->create(to(9), {'x'});
+    src->create(to(7), {'y', 'y'});
+    src->create(to(3), {'z'});
+  }
+  ForwardAll policy_a;
+  ForwardAll policy_b;
+  for (int round = 0; round < 3; ++round) {
+    // The sources also hold relay copies, pinned in their knowledge.
+    for (auto [relay, src] : {std::pair{&relay_a, &src_a},
+                              std::pair{&relay_b, &src_b}}) {
+      relay->create(to(8), {'p'});
+      relay->create(to(9), {'q'});
+      src->create(to(round), {'r'});
+      ForwardAll forward_all;
+      run_sync(*relay, *src, &forward_all, nullptr, SimTime(round));
+    }
+    // Odd rounds forward relay copies; even rounds move only the
+    // filter's items, so the target learns knowledge it lacks.
+    const bool forward = round % 2 == 1;
+    const auto whole = run_sync(src_a, dst_a, forward ? &policy_a : nullptr,
+                                nullptr, SimTime(round));
+    const SyncRequest request =
+        make_request(dst_b, nullptr, src_b.id(), SimTime(round));
+    ByteWriter rw;
+    request.serialize(rw);
+    ByteReader rr(rw.bytes());
+    const SyncBatch batch =
+        build_batch(src_b, forward ? &policy_b : nullptr,
+                    SyncRequest::deserialize(rr), SimTime(round));
+    ByteWriter bw;
+    batch.serialize(bw);
+    ByteReader br(bw.bytes());
+    const auto stepped = apply_batch(dst_b, SyncBatch::deserialize(br));
+    EXPECT_EQ(whole.stats.items_sent, stepped.stats.items_sent);
+    EXPECT_EQ(whole.stats.request_bytes, wire_size(request));
+    EXPECT_EQ(whole.stats.batch_bytes, wire_size(batch));
+    ByteWriter ka;
+    dst_a.knowledge().serialize_exact(ka);
+    ByteWriter kb;
+    dst_b.knowledge().serialize_exact(kb);
+    EXPECT_EQ(ka.bytes(), kb.bytes()) << "round " << round;
+    EXPECT_EQ(dst_a.store().size(), dst_b.store().size());
+  }
+}
+
 }  // namespace
 }  // namespace pfrdtn::repl

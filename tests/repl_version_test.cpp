@@ -220,6 +220,39 @@ TEST(VersionSet, WireRoundTripFlattensPinning) {
   EXPECT_EQ(got.vector_part().max_counter(ReplicaId(1)), 1u);
 }
 
+TEST(VersionSet, WireEncodingMergesPinnedAndPlainExtras) {
+  // Pinned and plain extras interleave within one author and sit alone
+  // under others; the wire carries one ascending, delta-encoded group
+  // per author of either kind.
+  VersionSet vs;
+  vs.add_prefix(ReplicaId(1), 2);
+  vs.add(ReplicaId(1), 4, /*pinned=*/true);
+  vs.add(ReplicaId(1), 6);
+  vs.add(ReplicaId(1), 9, /*pinned=*/true);
+  vs.add(ReplicaId(2), 5);
+  vs.add(ReplicaId(3), 8, /*pinned=*/true);
+  ByteWriter got;
+  vs.serialize(got);
+
+  ByteWriter want;
+  want.uvarint(1);  // vector: one entry
+  want.uvarint(1);
+  want.uvarint(2);
+  want.uvarint(3);  // extras: three authors
+  want.uvarint(1);  // author 1: 4, 6, 9
+  want.uvarint(3);
+  want.uvarint(4);
+  want.uvarint(2);
+  want.uvarint(3);
+  want.uvarint(2);  // author 2: 5
+  want.uvarint(1);
+  want.uvarint(5);
+  want.uvarint(3);  // author 3: 8
+  want.uvarint(1);
+  want.uvarint(8);
+  EXPECT_EQ(got.bytes(), want.bytes());
+}
+
 /// Property: VersionSet must agree with a naive std::set oracle under
 /// random interleavings of add / add-pinned / remove / unpin / merge.
 class VersionSetPropertyTest : public ::testing::TestWithParam<int> {};

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "dtn/registry.hpp"
+#include "persist/checkpoint.hpp"
 #include "sim/experiment.hpp"
 
 namespace pfrdtn::sim {
@@ -156,26 +158,65 @@ TEST(Emulation, SelectedStrategyBuildsFilters) {
 }
 
 TEST(Emulation, LoopbackTransportMatchesInProcess) {
-  // Routing every encounter's syncs through the loopback transport
-  // must be observationally equivalent to the in-process fast path.
-  EmulationConfig in_process = tiny_config("epidemic");
-  EmulationConfig over_wire = tiny_config("epidemic");
-  over_wire.loopback_transport = true;
-  const auto a = Emulation(in_process).run();
-  const auto b = Emulation(over_wire).run();
-  EXPECT_EQ(a.metrics.delivered_count(), b.metrics.delivered_count());
-  EXPECT_EQ(a.metrics.traffic().items_sent,
-            b.metrics.traffic().items_sent);
-  EXPECT_EQ(a.metrics.traffic().request_bytes,
-            b.metrics.traffic().request_bytes);
-  EXPECT_EQ(a.metrics.traffic().batch_bytes,
-            b.metrics.traffic().batch_bytes);
-  ASSERT_EQ(a.metrics.records().size(), b.metrics.records().size());
-  auto it_b = b.metrics.records().begin();
-  for (const auto& [id, record] : a.metrics.records()) {
-    EXPECT_EQ(record.delivered, it_b->second.delivered);
-    EXPECT_EQ(record.copies_at_delivery, it_b->second.copies_at_delivery);
-    ++it_b;
+  // Routing every encounter's syncs through the loopback transport —
+  // real frames, encoded and decoded — must be observationally
+  // equivalent to the in-process path, which makes no codec hop: same
+  // traffic, same ledger, and every replica in the same final state,
+  // under every registry policy and every constrained configuration.
+  std::vector<std::string> policies = dtn::known_policies();
+  for (const std::string& name : dtn::baseline_policies())
+    policies.push_back(name);
+  const std::vector<std::pair<std::string, void (*)(EmulationConfig&)>>
+      variants = {
+          {"unconstrained", [](EmulationConfig&) {}},
+          {"relay capacity, FIFO",
+           [](EmulationConfig& c) {
+             c.relay_capacity = 3;  // FIFO is the store's default order
+           }},
+          {"encounter budget",
+           [](EmulationConfig& c) { c.encounter_budget = 2; }},
+          {"delete after delivery",
+           [](EmulationConfig& c) { c.delete_after_delivery = true; }},
+          {"single sync per encounter",
+           [](EmulationConfig& c) { c.single_sync_per_encounter = true; }},
+      };
+  for (const std::string& policy : policies) {
+    for (const auto& [variant, apply] : variants) {
+      SCOPED_TRACE(policy + " / " + variant);
+      EmulationConfig in_process = tiny_config(policy);
+      apply(in_process);
+      EmulationConfig over_wire = in_process;
+      over_wire.loopback_transport = true;
+      Emulation ea(in_process);
+      Emulation eb(over_wire);
+      const auto a = ea.run();
+      const auto b = eb.run();
+      EXPECT_EQ(a.metrics.delivered_count(), b.metrics.delivered_count());
+      EXPECT_EQ(a.metrics.traffic().items_sent,
+                b.metrics.traffic().items_sent);
+      EXPECT_EQ(a.metrics.traffic().request_bytes,
+                b.metrics.traffic().request_bytes);
+      EXPECT_EQ(a.metrics.traffic().batch_bytes,
+                b.metrics.traffic().batch_bytes);
+      EXPECT_EQ(a.metrics.traffic().evictions,
+                b.metrics.traffic().evictions);
+      ASSERT_EQ(a.metrics.records().size(), b.metrics.records().size());
+      auto it_b = b.metrics.records().begin();
+      for (const auto& [id, record] : a.metrics.records()) {
+        EXPECT_EQ(record.delivered, it_b->second.delivered);
+        EXPECT_EQ(record.copies_at_delivery,
+                  it_b->second.copies_at_delivery);
+        EXPECT_EQ(record.copies_at_end, it_b->second.copies_at_end);
+        ++it_b;
+      }
+      ASSERT_EQ(a.fleet_size, b.fleet_size);
+      for (std::size_t bus = 0; bus < a.fleet_size; ++bus) {
+        const auto index = static_cast<trace::BusIndex>(bus);
+        EXPECT_EQ(persist::state_digest(ea.node(index).replica()),
+                  persist::state_digest(eb.node(index).replica()))
+            << "bus " << bus;
+      }
+    }
   }
 }
 

@@ -208,6 +208,21 @@ run_retry_oracle_proof() {
   echo "retry oracle caught the injected progress reset"
 }
 
+# Opt-in, because it takes minutes (PFRDTN_CI_BENCH_EMULATION=1): run
+# every figure bench from a Release build and record wall times,
+# syncs/s and stdout digests in build-ci/BENCH_emulation.json. With
+# PFRDTN_CI_BENCH_BASELINE=<json> — the same script run on the
+# merge-base — fail unless every figure's stdout is byte-identical.
+run_bench_emulation() {
+  local dir="$ROOT/build-ci/release"
+  echo "=== [release] figure benches ==="
+  cmake -B "$dir" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release
+  cmake --build "$dir" -j "$JOBS"
+  BUILD_DIR="$dir" "$ROOT/tools/bench_emulation.sh" \
+    ${PFRDTN_CI_BENCH_BASELINE:+--compare "$PFRDTN_CI_BENCH_BASELINE"} \
+    "$ROOT/build-ci/BENCH_emulation.json"
+}
+
 run_suite plain
 run_suite asan-ubsan -DPFRDTN_SANITIZE=address,undefined
 run_suite tsan -DPFRDTN_SANITIZE=thread
@@ -233,5 +248,8 @@ run_summary_oracle_proof plain
 run_summary_oracle_proof asan-ubsan
 run_retry_oracle_proof plain
 run_retry_oracle_proof asan-ubsan
+if [[ "${PFRDTN_CI_BENCH_EMULATION:-0}" == 1 ]]; then
+  run_bench_emulation
+fi
 
 echo "CI OK"
